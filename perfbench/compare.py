@@ -7,8 +7,13 @@ Result files are the ones perfbench/run.py writes under
 $CARGO_TARGET_DIR/results. Files are only compared when they describe
 the same environment (CPU model, nproc, compiler, build type,
 QIKEY_FORCE_SCALAR, SIMD tier) and the same workload, trace mode and run
-length, and when runs of the same seed read byte-identical inputs;
-otherwise the comparison is refused with exit code 2. For each metric
+length, when runs of the same seed read byte-identical inputs and gave
+byte-identical answers (the discover report and every expected response
+line), and when every run was correct with no failed operation;
+otherwise the comparison is refused with exit code 2. The answer check
+is what catches a library defect that the in-run gate cannot: the gate
+compares the CLI and the server with the same build's in-process
+reference, so a defect in the library changes both alike. For each metric
 the medians of both sides are printed with the change's ratio and, for
 end-to-end metrics, whether it is worse than BENCHMARK.json's bound.
 """
@@ -49,12 +54,18 @@ def main(argv):
         for key in RUN_KEYS:
             if r.get(key) != first.get(key):
                 refuse("runs differ in %s: %r vs %r" % (key, first.get(key), r.get(key)))
-    inputs = {}
+    inputs, answers = {}, {}
     for r in every:
         if inputs.setdefault(r["seed"], r["inputs"]) != r["inputs"]:
             refuse("seed %d read different inputs on the two sides" % r["seed"])
-    if not all(r["correct"] for r in every):
-        refuse("a run gave a wrong answer; its numbers are not evidence")
+        if answers.setdefault(r["seed"], r["answers"]) != r["answers"]:
+            refuse("seed %d gave different answers on the two sides: %r vs %r"
+                   % (r["seed"], answers[r["seed"]], r["answers"]))
+    for r in every:
+        if not r["correct"] or r["failed"]:
+            refuse("%s seed %d: correct=%s with %d failed operation(s); its numbers "
+                   "are not evidence" % (r["workload"], r["seed"], r["correct"],
+                                         r["failed"]))
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)

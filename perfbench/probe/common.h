@@ -54,17 +54,15 @@ class JsonLine {
 
 [[noreturn]] void Die(const std::string& message);
 
-/// `--name value` flags after the positional arguments. Unknown or
-/// missing flags end the process: the probe is only driven by run.py,
-/// so a mismatch is a benchmark bug, not user input to recover from.
+/// `--name value` flags after the positional arguments, all required.
+/// Missing or malformed flags end the process: the probe is only driven
+/// by run.py, so a mismatch is a benchmark bug, not user input to
+/// recover from.
 class Flags {
  public:
   Flags(int argc, char** argv, int first);
   std::string Str(const std::string& name) const;
-  std::string Str(const std::string& name, const std::string& fallback) const;
   double Num(const std::string& name) const;
-  double Num(const std::string& name, double fallback) const;
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
  private:
   std::map<std::string, std::string> values_;

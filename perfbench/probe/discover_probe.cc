@@ -15,7 +15,6 @@
 
 #include "common.h"
 #include "core/bitset_filter.h"
-#include "core/mx_pair_filter.h"
 #include "core/refine_engine.h"
 #include "core/sample_bounds.h"
 #include "core/tuple_sample_filter.h"
@@ -39,7 +38,6 @@ using qikey::RowIndex;
 
 FilterBackend ParseBackend(const std::string& name) {
   if (name == "tuple") return FilterBackend::kTupleSample;
-  if (name == "mx") return FilterBackend::kMxPair;
   if (name == "bitset") return FilterBackend::kBitset;
   Die("unknown backend " + name);
 }
@@ -107,20 +105,13 @@ AttributeSet TimedStages(const Dataset& data,
   if (opts.backend == FilterBackend::kTupleSample) {
     filter = std::make_unique<qikey::TupleSampleFilter>(
         qikey::TupleSampleFilter::FromSample(sample, rows, opts.detection));
-  } else if (opts.backend == FilterBackend::kBitset) {
+  } else {
     qikey::BitsetFilterOptions bitset;
     bitset.eps = opts.eps;
     auto built = qikey::BitsetSeparationFilter::Build(data, bitset, &rng);
     if (!built.ok()) Die(built.status().ToString());
     filter = std::make_unique<qikey::BitsetSeparationFilter>(
         std::move(built).ValueOrDie());
-  } else {
-    qikey::MxPairFilterOptions mx;
-    mx.eps = opts.eps;
-    auto built = qikey::MxPairFilter::Build(data, mx, &rng);
-    if (!built.ok()) Die(built.status().ToString());
-    filter =
-        std::make_unique<qikey::MxPairFilter>(std::move(built).ValueOrDie());
   }
   int64_t t2 = NowNs();
 
@@ -185,7 +176,7 @@ int RunDiscover(int argc, char** argv) {
   opts.backend = ParseBackend(flags.Str("backend"));
   opts.num_threads = static_cast<size_t>(flags.Num("threads"));
   uint64_t seed = static_cast<uint64_t>(flags.Num("seed"));
-  bool layers = flags.Num("layers", 0) != 0;
+  bool layers = flags.Num("layers") != 0;
 
   JsonLine out;
   Dataset data;

@@ -31,6 +31,10 @@
 namespace qbench {
 namespace {
 
+// How long to wait for responses after the last send (or after the
+// phase stopped sending); what is still unanswered then timed out.
+constexpr int64_t kGraceNs = 2'000'000'000;
+
 struct Conn {
   int fd = -1;
   std::string out;
@@ -79,16 +83,18 @@ int RunLoad(int argc, char** argv) {
   const double rate = flags.Num("rate");
   const uint64_t count = static_cast<uint64_t>(flags.Num("count"));
   const size_t conns_n = static_cast<size_t>(flags.Num("conns"));
-  const uint64_t offset = static_cast<uint64_t>(flags.Num("offset", 0));
-  const double limit_us = flags.Num("limit-us", 1e9);
-  const int64_t grace_ns = static_cast<int64_t>(flags.Num("grace-s", 2.0) * 1e9);
+  const uint64_t offset = static_cast<uint64_t>(flags.Num("offset"));
+  const double limit_us = flags.Num("limit-us");
+  const uint64_t windows = static_cast<uint64_t>(flags.Num("windows"));
   // Stop sending once any connection has this many requests in flight:
   // the server is not keeping up, and stopping keeps every connection
   // below the server's per-connection admission cap.
   const uint64_t abort_inflight =
-      static_cast<uint64_t>(flags.Num("abort-conn-inflight", 1e18));
-  if (rate <= 0 || count == 0 || conns_n == 0 || conns_n > 4) {
-    Die("need rate > 0, count > 0 and 1..4 connections");
+      static_cast<uint64_t>(flags.Num("abort-conn-inflight"));
+  if (rate <= 0 || count == 0 || conns_n == 0 || conns_n > 4 || windows == 0 ||
+      abort_inflight == 0) {
+    Die("need rate > 0, count > 0, 1..4 connections, windows > 0 and "
+        "abort-conn-inflight > 0");
   }
   // Timer wake-ups are the schedule's resolution; ask for no slack.
   ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
@@ -131,7 +137,7 @@ int RunLoad(int argc, char** argv) {
   uint64_t max_conn_inflight = 0;
   int64_t last_recv = t0;
   std::string first_wrong;
-  int64_t deadline = due(count - 1) + grace_ns;
+  int64_t deadline = due(count - 1) + kGraceNs;
 
   auto flush = [&](Conn& conn) {
     while (conn.out_off < conn.out.size()) {
@@ -191,7 +197,7 @@ int RunLoad(int argc, char** argv) {
       if (conn.inflight.size() >= abort_inflight && next < count) {
         aborted = true;
         inflight_at_last_send = outstanding;
-        deadline = now + grace_ns;
+        deadline = now + kGraceNs;
         break;
       }
     }
@@ -280,7 +286,6 @@ int RunLoad(int argc, char** argv) {
   // Per-window percentiles: requests split by send order into --windows
   // equal parts, so a caller can take medians that one transient stall
   // cannot move.
-  const uint64_t windows = static_cast<uint64_t>(flags.Num("windows", 1));
   std::string p50s, p99s;
   for (uint64_t w = 0; w < windows; ++w) {
     std::vector<double> part;

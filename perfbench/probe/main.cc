@@ -2,8 +2,8 @@
 //
 //   qbench env
 //       Build and dispatch facts (compiler, build type, SIMD tier).
-//   qbench discover <csv> --eps E --backend B --threads T --seed S
-//                   [--layers 1]
+//   qbench discover <csv> --eps E --backend tuple|bitset --threads T
+//                   --seed S --layers 0|1 --report F
 //       Correctness reference for `qikey discover`: the in-process
 //       `DiscoveryPipeline::Run` report; with --layers, also times each
 //       ingest and pipeline step through the modules' public calls.
@@ -13,8 +13,8 @@
 //   qbench serve-layers <snapshot> <pool>
 //       Per-layer timings of the serve path's public calls.
 //   qbench load --port P --pool F --expect F --seq F --rate R
-//               --count N --conns C --seed S [--offset O] [--limit-us L]
-//               [--abort-conn-inflight N] [--grace-s G] [--windows W]
+//               --count N --conns C --seed S --offset O --limit-us L
+//               --abort-conn-inflight N --windows W
 //       Single-threaded open-loop client; checks every response line.
 //
 // Every subcommand ends with one `QBENCH {json}` line on stdout.
@@ -102,12 +102,6 @@ std::string Flags::Str(const std::string& name) const {
   return it->second;
 }
 
-std::string Flags::Str(const std::string& name,
-                       const std::string& fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
-}
-
 double Flags::Num(const std::string& name) const {
   std::string text = Str(name);
   char* end = nullptr;
@@ -116,20 +110,10 @@ double Flags::Num(const std::string& name) const {
   return v;
 }
 
-double Flags::Num(const std::string& name, double fallback) const {
-  return Has(name) ? Num(name) : fallback;
-}
-
 int RunEnv() {
   JsonLine out;
-#ifdef QBENCH_COMPILER
   out.Str("compiler", QBENCH_COMPILER);
-#else
-  out.Str("compiler", __VERSION__);
-#endif
-#ifdef QBENCH_BUILD_TYPE
   out.Str("build_type", QBENCH_BUILD_TYPE);
-#endif
   out.Str("simd_tier",
           qikey::EvidenceKernelName(qikey::ActiveEvidenceKernel()));
   const char* force = std::getenv("QIKEY_FORCE_SCALAR");

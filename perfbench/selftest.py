@@ -7,9 +7,11 @@ For every workload in BENCHMARK.json it checks that a toy run
 (run.py --toy) exits 0 with a correct result that reports exactly the
 end-to-end metrics, and a traced toy run exactly the per-layer metrics,
 each with its declared unit. It then checks that the correctness gate
-catches an injected wrong answer on each path (run.py --inject-wrong
-discover|serve must report correct=false and exit non-zero), and that
-compare.py refuses result files whose environments differ.
+fails a run (correct=false, failed > 0, non-zero exit) for each failure
+run.py --inject can plant: a wrong discover report, a discover run that
+exits non-zero, a wrong response line, and requests never sent. Last it
+checks that compare.py refuses result files whose environments differ,
+or whose answers for the same seed differ.
 """
 
 import copy
@@ -59,10 +61,11 @@ def main():
                     sorted(k for k in got if k in want and got[k] != want[k]))))
             check(result["attempted"] >= 1 and result["failed"] == 0,
                   "%s trace %d attempts work and fails none" % (name, trace))
-        for path in ("discover", "serve"):
-            code, result, _ = run(name, 0, "--inject-wrong", path)
-            check(code != 0 and result is not None and not result["correct"],
-                  "%s: the gate catches an injected wrong %s answer" % (name, path))
+        for inject in ("discover-answer", "discover-exit", "serve-answer", "serve-unsent"):
+            code, result, _ = run(name, 0, "--inject", inject)
+            check(code != 0 and result is not None and not result["correct"]
+                  and result["failed"] > 0,
+                  "%s: the gate fails a run with injected %s" % (name, inject))
 
     results = os.path.join(os.environ.get("CARGO_TARGET_DIR") or os.path.join(ROOT, ".bench_build"),
                            "results")
@@ -70,16 +73,24 @@ def main():
     if os.path.exists(base_path):
         with open(base_path) as f:
             base = json.load(f)
-        other = copy.deepcopy(base)
-        other["env"]["simd_tier"] = "scalar" if base["env"]["simd_tier"] != "scalar" else "avx2"
-        with tempfile.NamedTemporaryFile("w", suffix=".json", dir=results, delete=False) as f:
-            json.dump(other, f)
-        p = subprocess.run([sys.executable, os.path.join(HERE, "compare.py"), base_path,
-                            "--", f.name], cwd=ROOT, stdout=subprocess.PIPE,
-                           stderr=subprocess.PIPE, text=True)
-        os.unlink(f.name)
-        check(p.returncode == 2 and "REFUSED" in p.stderr,
-              "compare.py refuses results from different environments")
+        def other_env(r):
+            r["env"]["simd_tier"] = "scalar" if r["env"]["simd_tier"] != "scalar" else "avx2"
+
+        def other_answer(r):
+            r["answers"]["discover"] = "0" * 64
+
+        for what, alter in (("environments", other_env), ("answers", other_answer)):
+            other = copy.deepcopy(base)
+            alter(other)
+            with tempfile.NamedTemporaryFile("w", suffix=".json", dir=results,
+                                             delete=False) as f:
+                json.dump(other, f)
+            p = subprocess.run([sys.executable, os.path.join(HERE, "compare.py"), base_path,
+                                "--", f.name], cwd=ROOT, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+            os.unlink(f.name)
+            check(p.returncode == 2 and "REFUSED" in p.stderr,
+                  "compare.py refuses results with different %s" % what)
     else:
         check(False, "a toy result file exists for the compare.py check")
 
