@@ -91,7 +91,6 @@ class QueryEngine {
 
   const SnapshotStore* store_;
   QueryEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   mutable VerdictCache cache_;
 
   // Observability (recorded by const ExecuteBatch, hence mutable; all
@@ -104,6 +103,10 @@ class QueryEngine {
   mutable LatencyHistogram execute_ns_;
   mutable Gauge pool_queue_depth_;
   mutable LatencyHistogram pool_task_ns_;
+
+  // Declared last so it is destroyed first: its workers record into the
+  // instruments above until they are joined.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace qikey

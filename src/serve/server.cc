@@ -1,8 +1,11 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -61,9 +64,10 @@ Status ServeServer::Start() {
     return Status::InvalidArgument("server already started");
   }
   if (options_.max_line_bytes == 0 || options_.max_pending_per_conn == 0 ||
-      options_.max_pending_global == 0 || options_.max_batch == 0) {
+      options_.max_batch == 0) {
     return Status::InvalidArgument(
-        "max_line_bytes, admission caps, and max_batch must be positive");
+        "max_line_bytes, max_pending_per_conn, and max_batch must be "
+        "positive");
   }
   Result<OwnedFd> listen_fd = OpenListenSocket(options_.listen, &port_);
   if (!listen_fd.ok()) return listen_fd.status();
@@ -94,17 +98,12 @@ Status ServeServer::Start() {
                            std::strerror(errno));
   }
 
-  // Registry wiring happens strictly before any server thread exists,
-  // so workers rendering the `stats` verb see a fully built registry
+  // Registry wiring happens strictly before the reactor exists, so the
+  // reactor rendering the `stats` verb sees a fully built registry
   // without synchronization beyond thread creation.
   RegisterMetrics();
 
   running_.store(true, std::memory_order_release);
-  size_t workers = options_.worker_threads > 0 ? options_.worker_threads : 1;
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   reactor_ = std::thread([this] { ReactorLoop(); });
   return Status::OK();
 }
@@ -120,10 +119,6 @@ void ServeServer::Shutdown() {
 
 void ServeServer::Join() {
   if (reactor_.joinable()) reactor_.join();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
 }
 
 ServerStats ServeServer::stats() const {
@@ -159,9 +154,6 @@ void ServeServer::RegisterMetrics() {
   registry_->RegisterCounter("server.batches_executed", &batches_executed_);
   registry_->RegisterCounter("server.traces_emitted", &traces_emitted_);
   registry_->RegisterGauge("server.connections", &connections_);
-  registry_->RegisterGauge("server.admission_queue_depth",
-                           &admission_queue_depth_);
-  registry_->RegisterGauge("server.work_queue_depth", &work_queue_depth_);
   registry_->RegisterGauge("server.read_buffer_bytes", &read_buffer_bytes_);
   registry_->RegisterGauge("server.write_buffer_bytes", &write_buffer_bytes_);
   registry_->RegisterHistogram("server.request_ns", &request_ns_);
@@ -248,13 +240,12 @@ void ServeServer::ReactorLoop() {
       }
     }
 
-    ProcessCompletions();
     ReapIdleConns(now_ms);
 
     if (draining_) {
       if (now_ms >= drain_deadline_ms_ && !conns_.empty()) {
-        // Drain timeout: force-close whatever is left (stalled clients,
-        // wedged batches). Collect ids first — CloseConn mutates the map.
+        // Drain timeout: force-close whatever is left (stalled clients).
+        // Collect ids first — CloseConn mutates the map.
         std::vector<uint64_t> remaining;
         remaining.reserve(conns_.size());
         for (const auto& [id, conn] : conns_) remaining.push_back(id);
@@ -263,14 +254,6 @@ void ServeServer::ReactorLoop() {
       if (DrainComplete()) break;
     }
   }
-
-  // Stop the workers: they finish the queue (it is empty by the time
-  // drain completes, non-empty only after a forced drain) and exit.
-  {
-    MutexLock lock(work_mu_);
-    workers_stop_ = true;
-  }
-  work_ready_.NotifyAll();
   running_.store(false, std::memory_order_release);
 }
 
@@ -297,6 +280,11 @@ void ServeServer::AcceptNewConnections() {
       overload_responses_.Increment();
       continue;  // OwnedFd closes it
     }
+    // Responses are small writes. With Nagle on, one sent while an
+    // earlier one is still unacknowledged waits for the client's
+    // delayed ACK — up to the gap between the client's requests.
+    int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<ServeConn>(std::move(fd), id,
                                             options_.max_line_bytes);
@@ -313,11 +301,7 @@ void ServeServer::AcceptNewConnections() {
     conns_.emplace(id, std::move(conn));
     connections_accepted_.Increment();
     connections_.Set(static_cast<int64_t>(conns_.size()));
-    FlushWrites(raw_conn);
-    if (conns_.find(id) != conns_.end()) {
-      SyncConnGauges(raw_conn);
-      UpdateEpollInterest(raw_conn);
-    }
+    FinishIo(raw_conn);
   }
 }
 
@@ -348,19 +332,15 @@ void ServeServer::HandleReadable(ServeConn* conn) {
     }
   }
 
-  size_t admitted = 0;
+  std::vector<PendingLine> admitted;
   size_t overloaded = 0;
   size_t received = lines.size();
   int64_t admit_ns = received > 0 ? NowNs() : 0;
   for (std::string& line : lines) {
     if (conn->close_after_flush) break;  // overload-close already tripped
-    bool conn_full = conn->pending.size() + conn->inflight_lines >=
-                     options_.max_pending_per_conn;
-    if (conn_full || global_pending_ >= options_.max_pending_global) {
-      conn->QueueResponse(EncodeErrorLine(
-          ServeErrorCode::kOverload,
-          conn_full ? "connection request queue full"
-                    : "server request queue full"));
+    if (admitted.size() >= options_.max_pending_per_conn) {
+      conn->QueueResponse(EncodeErrorLine(ServeErrorCode::kOverload,
+                                          "connection request queue full"));
       ++overloaded;
       if (options_.close_on_overload) conn->close_after_flush = true;
       continue;
@@ -371,15 +351,12 @@ void ServeServer::HandleReadable(ServeConn* conn) {
     pending.request_id = next_request_id_++;
     pending.traced = options_.trace_sample > 0 &&
                      (++trace_seq_ % options_.trace_sample) == 0;
-    conn->pending.push_back(std::move(pending));
-    ++global_pending_;
-    ++admitted;
+    admitted.push_back(std::move(pending));
   }
   lines_received_.Increment(received);
-  lines_admitted_.Increment(admitted);
+  lines_admitted_.Increment(admitted.size());
   overload_responses_.Increment(overloaded);
   responses_sent_.Increment(overloaded);
-  admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
 
   if (framing_lost) {
     conn->QueueResponse(EncodeErrorLine(
@@ -391,91 +368,26 @@ void ServeServer::HandleReadable(ServeConn* conn) {
     responses_sent_.Increment();
   }
 
-  SubmitBatchIfReady(conn);
-  FlushWrites(conn);
-  if (conns_.find(id) == conns_.end()) return;
-  SyncConnGauges(conn);
-  if ((conn->peer_eof || conn->close_after_flush) && conn->idle()) {
-    CloseConn(id);
-    return;
-  }
-  UpdateEpollInterest(conn);
+  ExecuteAdmitted(conn, admitted);
 }
 
-void ServeServer::HandleWritable(ServeConn* conn) {
+void ServeServer::HandleWritable(ServeConn* conn) { FinishIo(conn); }
+
+void ServeServer::ExecuteAdmitted(ServeConn* conn,
+                                  std::span<const PendingLine> lines) {
   uint64_t id = conn->id;
-  FlushWrites(conn);
-  if (conns_.find(id) == conns_.end()) return;
-  SyncConnGauges(conn);
-  if ((conn->close_after_flush || conn->peer_eof) && conn->idle()) {
-    CloseConn(id);
-    return;
+  std::vector<TraceRecord> traces;
+  for (size_t begin = 0; begin < lines.size(); begin += options_.max_batch) {
+    ExecuteLines(conn,
+                 lines.subspan(begin, std::min(options_.max_batch,
+                                               lines.size() - begin)),
+                 &traces);
   }
-  UpdateEpollInterest(conn);
-}
-
-void ServeServer::SubmitBatchIfReady(ServeConn* conn) {
-  if (conn->inflight_lines > 0 || conn->pending.empty()) return;
-  WorkItem work;
-  work.conn_id = conn->id;
-  size_t take = std::min(conn->pending.size(), options_.max_batch);
-  work.lines.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    work.lines.push_back(std::move(conn->pending.front()));
-    conn->pending.pop_front();
-  }
-  conn->inflight_lines = take;
-  {
-    MutexLock lock(work_mu_);
-    work_queue_.push_back(std::move(work));
-    work_queue_depth_.Set(static_cast<int64_t>(work_queue_.size()));
-  }
-  work_ready_.NotifyOne();
-}
-
-void ServeServer::ProcessCompletions() {
-  std::vector<Completion> done;
-  {
-    MutexLock lock(completion_mu_);
-    done.swap(completions_);
-  }
-  for (Completion& completion : done) {
-    // The admission slots are released even when the connection died
-    // while its batch was executing — otherwise a churning client
-    // could leak the global queue shut.
-    global_pending_ -= completion.num_lines;
-    batches_executed_.Increment();
-    responses_sent_.Increment(completion.num_lines);
-    admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
-    // Admission -> flush latency, recorded BEFORE the response bytes
-    // can reach the client: a lockstep client therefore always
-    // observes its own request already counted, which is what makes
-    // `stats` output reproducible across identical request sequences.
-    int64_t flushed_ns = NowNs();
-    for (int64_t admitted_at : completion.admit_ns) {
-      request_ns_.Record(flushed_ns - admitted_at);
-    }
-    auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) continue;
-    ServeConn* conn = it->second.get();
-    conn->inflight_lines = 0;
-    conn->write_buf.append(completion.response_bytes);
-    SubmitBatchIfReady(conn);
-    FlushWrites(conn);
-    if (!completion.traces.empty()) {
-      int64_t flush_done_ns = NowNs();
-      for (const TraceRecord& trace : completion.traces) {
-        EmitTrace(completion.conn_id, trace, flush_done_ns);
-      }
-    }
-    if (conns_.find(completion.conn_id) == conns_.end()) continue;
-    SyncConnGauges(conn);
-    if ((conn->peer_eof || conn->close_after_flush || draining_) &&
-        conn->idle()) {
-      CloseConn(completion.conn_id);
-      continue;
-    }
-    UpdateEpollInterest(conn);
+  FinishIo(conn);
+  if (traces.empty()) return;
+  int64_t flush_done_ns = NowNs();
+  for (const TraceRecord& trace : traces) {
+    EmitTrace(id, trace, flush_done_ns);
   }
 }
 
@@ -499,6 +411,19 @@ void ServeServer::FlushWrites(ServeConn* conn) {
   }
 }
 
+void ServeServer::FinishIo(ServeConn* conn) {
+  uint64_t id = conn->id;
+  FlushWrites(conn);
+  if (conns_.find(id) == conns_.end()) return;
+  SyncConnGauges(conn);
+  if ((conn->peer_eof || conn->close_after_flush || draining_) &&
+      conn->idle()) {
+    CloseConn(id);
+    return;
+  }
+  UpdateEpollInterest(conn);
+}
+
 void ServeServer::UpdateEpollInterest(ServeConn* conn) {
   uint32_t interest = 0;
   bool reading = !draining_ && !conn->close_after_flush && !conn->peer_eof &&
@@ -514,10 +439,6 @@ void ServeServer::UpdateEpollInterest(ServeConn* conn) {
 void ServeServer::CloseConn(uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  // Pending (never-submitted) lines release their admission slots here;
-  // in-flight lines release theirs when the orphaned completion lands.
-  global_pending_ -= it->second->pending.size();
-  admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
   // Back out this connection's contribution to the aggregate buffer
   // gauges (whatever was last folded in).
   read_buffer_bytes_.Add(-static_cast<int64_t>(it->second->obs_read_bytes));
@@ -532,12 +453,12 @@ void ServeServer::ReapIdleConns(int64_t now_ms) {
   if (options_.idle_timeout_ms <= 0) return;
   std::vector<uint64_t> expired;
   for (const auto& [id, conn] : conns_) {
-    // "Idle" = nothing admitted and nothing executing. A half-sent
-    // request line (slow loris) is exactly this state, so the cap on
-    // silent connections is also the slow-loris bound. Stalled readers
-    // (unsent responses piling up) age out the same way.
-    if (conn->inflight_lines == 0 && conn->pending.empty() &&
-        now_ms - conn->last_activity_ms > options_.idle_timeout_ms) {
+    // Nothing is ever left executing between events, so only silence
+    // counts. A half-sent request line (slow loris) is exactly this
+    // state, so the cap on silent connections is also the slow-loris
+    // bound. Stalled readers (unsent responses piling up) age out the
+    // same way.
+    if (now_ms - conn->last_activity_ms > options_.idle_timeout_ms) {
       expired.push_back(id);
     }
   }
@@ -553,7 +474,7 @@ void ServeServer::BeginDrain() {
   // connections are refused by the kernel, not queued behind a drain.
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listen_fd_.get(), nullptr);
   listen_fd_.Reset();
-  // Stop reading; every already-admitted line still executes and every
+  // Stop reading; every admitted line has already executed, and every
   // response still flushes. Idle connections close immediately.
   std::vector<uint64_t> idle;
   for (const auto& [id, conn] : conns_) {
@@ -568,55 +489,24 @@ void ServeServer::BeginDrain() {
 
 bool ServeServer::DrainComplete() const { return conns_.empty(); }
 
-// ---------------------------------------------------------------------------
-// Worker threads
-// ---------------------------------------------------------------------------
-
-void ServeServer::WorkerLoop() {
-  while (true) {
-    WorkItem work;
-    {
-      MutexLock lock(work_mu_);
-      while (!workers_stop_ && work_queue_.empty()) work_ready_.Wait(work_mu_);
-      if (work_queue_.empty()) return;  // stop requested and queue drained
-      work = std::move(work_queue_.front());
-      work_queue_.pop_front();
-      work_queue_depth_.Set(static_cast<int64_t>(work_queue_.size()));
-    }
-    work.dequeue_ns = NowNs();
-    Completion completion = ExecuteWork(std::move(work));
-    {
-      MutexLock lock(completion_mu_);
-      completions_.push_back(std::move(completion));
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(wake_fd_.get(), &one, sizeof(one));
-  }
-}
-
-ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
-  Completion completion;
-  completion.conn_id = work.conn_id;
-  completion.num_lines = work.lines.size();
-  completion.admit_ns.reserve(work.lines.size());
-  for (const PendingLine& pending : work.lines) {
-    completion.admit_ns.push_back(pending.admit_ns);
-  }
+void ServeServer::ExecuteLines(ServeConn* conn,
+                               std::span<const PendingLine> lines,
+                               std::vector<TraceRecord>* traces) {
+  int64_t start_ns = NowNs();
 
   // Parse every line; hello assertions, the `stats` admin verb, and
   // parse failures are answered inline, everything else joins one
   // engine batch.
-  std::vector<std::string> immediate(work.lines.size());
-  std::vector<int> slot(work.lines.size(), -1);
-  std::vector<int64_t> parse_ns(work.lines.size(), 0);
+  std::vector<std::string> immediate(lines.size());
+  std::vector<int> slot(lines.size(), -1);
+  std::vector<int64_t> parse_ns(lines.size(), 0);
   std::vector<QueryRequest> requests;
   size_t parse_errors = 0;
   bool any_traced = false;
-  for (size_t i = 0; i < work.lines.size(); ++i) {
-    const std::string& line = work.lines[i].line;
-    any_traced |= work.lines[i].traced;
-    int64_t parse_start = work.lines[i].traced ? NowNs() : 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i].line;
+    any_traced |= lines[i].traced;
+    int64_t parse_start = lines[i].traced ? NowNs() : 0;
     if (line == kStatsVerb) {
       // Rendered by the server, not the engine: one consistent
       // snapshot of every registered family as a single `ok` line.
@@ -638,7 +528,7 @@ ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
         requests.push_back(std::move(*request));
       }
     }
-    if (work.lines[i].traced) parse_ns[i] = NowNs() - parse_start;
+    if (lines[i].traced) parse_ns[i] = NowNs() - parse_start;
   }
 
   std::vector<QueryResponse> responses;
@@ -651,33 +541,41 @@ ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
     if (any_traced) execute_ns = NowNs() - execute_start;
   }
 
-  for (size_t i = 0; i < work.lines.size(); ++i) {
+  for (size_t i = 0; i < lines.size(); ++i) {
     if (slot[i] >= 0) {
-      completion.response_bytes += EncodeResponseLine(
-          requests[slot[i]], responses[slot[i]], schema_);
+      conn->QueueResponse(
+          EncodeResponseLine(requests[slot[i]], responses[slot[i]], schema_));
     } else {
-      completion.response_bytes += immediate[i];
+      conn->QueueResponse(immediate[i]);
     }
-    completion.response_bytes += '\n';
+  }
+
+  batches_executed_.Increment();
+  responses_sent_.Increment(lines.size());
+  parse_errors_.Increment(parse_errors);
+  // Admission -> flush latency, recorded BEFORE the response bytes can
+  // reach the client: a lockstep client therefore always observes its
+  // own request already counted, which is what makes `stats` output
+  // reproducible across identical request sequences.
+  int64_t done_ns = NowNs();
+  for (const PendingLine& pending : lines) {
+    request_ns_.Record(done_ns - pending.admit_ns);
   }
   if (any_traced) {
-    int64_t done_ns = NowNs();
-    for (size_t i = 0; i < work.lines.size(); ++i) {
-      if (!work.lines[i].traced) continue;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (!lines[i].traced) continue;
       TraceRecord trace;
-      trace.request_id = work.lines[i].request_id;
-      trace.admit_ns = work.lines[i].admit_ns;
+      trace.request_id = lines[i].request_id;
+      trace.admit_ns = lines[i].admit_ns;
       trace.parse_ns = parse_ns[i];
-      trace.queue_ns = work.dequeue_ns - work.lines[i].admit_ns;
+      trace.queue_ns = start_ns - lines[i].admit_ns;
       // Batch-shared: the engine executes the whole batch at once, so
       // a sampled line is attributed the batch's execute wall time.
       trace.execute_ns = slot[i] >= 0 ? execute_ns : 0;
       trace.done_ns = done_ns;
-      completion.traces.push_back(trace);
+      traces->push_back(trace);
     }
   }
-  parse_errors_.Increment(parse_errors);
-  return completion;
 }
 
 }  // namespace qikey

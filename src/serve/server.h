@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -16,14 +16,13 @@
 #include "serve/conn.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
-#include "util/mutex.h"
 #include "util/net.h"
 #include "util/status.h"
 
 namespace qikey {
 
-/// Tuning knobs for `ServeServer`. The defaults keep every buffer and
-/// queue bounded; a flooded or stalled client costs O(caps) memory,
+/// Tuning knobs for `ServeServer`. The defaults keep every buffer
+/// bounded; a flooded or stalled client costs O(caps) memory,
 /// never O(traffic).
 struct ServerOptions {
   /// Listen address; port 0 binds an ephemeral port (see `port()`).
@@ -37,12 +36,12 @@ struct ServerOptions {
   /// is lost past this point).
   size_t max_line_bytes = 4096;
 
-  /// Admission control: request lines queued or executing per
-  /// connection, and across all connections. A line arriving past
-  /// either cap is answered `err overload ...` instead of queued —
-  /// bounded memory, never unbounded buffering.
+  /// Admission control: most request lines admitted from one read burst
+  /// of one connection. A line past the cap is answered
+  /// `err overload ...` instead of executed — bounded memory, never
+  /// unbounded buffering. No other cap is needed: a burst executes
+  /// before the reactor reads from any other connection.
   size_t max_pending_per_conn = 256;
-  size_t max_pending_global = 8192;
   /// When true, a connection that trips the per-connection cap is also
   /// closed after the overload response flushes (flood containment);
   /// default keeps it open so well-behaved bursts just shed load.
@@ -52,20 +51,14 @@ struct ServerOptions {
   /// connection is closed (the reactor never buffers beyond this).
   size_t max_write_buffer_bytes = 1 << 20;
 
-  /// A connection with no inbound bytes and no queued work for this
-  /// long is closed — this is also what defeats slow-loris partial
-  /// lines. <= 0 disables reaping.
+  /// A connection with no inbound bytes for this long is closed — this
+  /// is also what defeats slow-loris partial lines. <= 0 disables
+  /// reaping.
   int idle_timeout_ms = 60 * 1000;
-  /// On drain: how long to wait for in-flight batches to finish and
-  /// write buffers to flush before force-closing.
+  /// On drain: how long to wait for write buffers to flush before
+  /// force-closing.
   int drain_timeout_ms = 5000;
 
-  /// Executor threads pulling request batches off the admission queue
-  /// and calling `QueryEngine::ExecuteBatch`. Distinct from (and
-  /// layered on top of) the engine's own ThreadPool: these threads
-  /// decouple connection handling from query execution, the engine's
-  /// pool parallelizes within one batch.
-  size_t worker_threads = 1;
   /// Most lines handed to one `ExecuteBatch` call.
   size_t max_batch = 512;
 
@@ -77,7 +70,8 @@ struct ServerOptions {
   MetricsRegistry* metrics = nullptr;
 
   /// Trace every Nth admitted request line with per-stage timings
-  /// (parse / queue-wait / execute / flush); 0 disables tracing. Each
+  /// (parse / queue-wait / execute / flush; queue-wait is admission to
+  /// the start of the line's batch); 0 disables tracing. Each
   /// sampled request produces one JSON line through `trace_sink`.
   uint64_t trace_sample = 0;
   /// Destination for trace lines (called on the reactor thread, line
@@ -102,36 +96,43 @@ struct ServerStats {
 
 /// \brief The `qikey serve` front end: a non-blocking epoll
 /// acceptor/reactor speaking the newline-delimited `QIKEY/1` protocol
-/// (see `serve/protocol.h`) on one thread, with request execution
-/// decoupled onto worker threads driving a shared `QueryEngine`.
+/// (see `serve/protocol.h`) on one thread, executing every request to
+/// completion on that thread against a shared `QueryEngine`.
 ///
 /// ## Threading model
 ///
 ///   reactor thread:  accept / read / frame lines / admission control /
+///                    parse + `QueryEngine::ExecuteBatch` + encode /
 ///                    write buffered responses / timeouts / drain
-///   worker threads:  parse + `QueryEngine::ExecuteBatch` + encode
 ///   engine pool:     intra-batch parallelism (inside the engine)
 ///
-/// Connections are owned exclusively by the reactor; workers receive
-/// only copies of request lines tagged with the connection's id, and
-/// completions for connections that died in the meantime are dropped
-/// by id lookup (ids are never reused). At most one batch per
-/// connection is in flight, which keeps responses in request order
-/// with no sequencing metadata.
+/// A read burst's admitted lines are parsed, executed and encoded
+/// inline, then appended to the connection's write buffer and flushed
+/// — no thread hop between a request line and its response. A filter
+/// query costs well under a microsecond, far less than a handoff to
+/// another thread; large batches still fan out over the engine's pool.
+/// The price is head-of-line blocking across connections: while one
+/// batch executes, every other connection waits. Connections are owned
+/// exclusively by the reactor, and each connection's lines execute in
+/// arrival order, which keeps responses in request order with no
+/// sequencing metadata. Accepted sockets get `TCP_NODELAY`, so a
+/// response never waits for the client's delayed ACK of the previous
+/// one (Nagle's algorithm).
 ///
 /// ## Backpressure
 ///
-/// Every queue is bounded (`ServerOptions`): lines past the per-
-/// connection or global admission caps are answered `err overload`
-/// immediately instead of queued, and a client that stops reading its
+/// Every buffer is bounded (`ServerOptions`): lines of one read burst
+/// past the admission cap are answered `err overload` immediately
+/// instead of executed, and a client that stops reading its
 /// responses is closed once `max_write_buffer_bytes` of replies pile
 /// up. Memory per connection is O(caps) regardless of how fast the
 /// client floods.
 ///
 /// Every request line still gets exactly one response line, and
 /// responses to ADMITTED requests arrive in request order; an
-/// `err overload` shed is answered immediately, so it may arrive ahead
-/// of responses to earlier, still-executing requests. (Order-preserving
+/// `err overload` shed is answered at admission, so it may arrive ahead
+/// of responses to earlier lines of the same read burst, which execute
+/// once the burst is admitted. (Order-preserving
 /// shedding would require queuing the shed — the unbounded buffering
 /// this layer exists to rule out.)
 ///
@@ -140,21 +141,22 @@ struct ServerStats {
 /// The server holds no snapshot itself — it serves whatever the
 /// `SnapshotStore` behind its `QueryEngine` currently publishes.
 /// Publishing a new snapshot while serving is safe and instant:
-/// batches already executing finish on their pinned epoch, the next
+/// a batch already executing finishes on its pinned epoch, the next
 /// batch sees the new one (`SnapshotStore` semantics). The schema must
 /// stay fixed across publishes (request parsing is schema-bound).
 ///
 /// ## Lifecycle
 ///
 ///   ServeServer server(&engine, schema, options);
-///   server.Start();              // binds; reactor + workers running
+///   server.Start();              // binds; reactor running
 ///   ... server.port() ...
 ///   server.Shutdown();           // begin graceful drain (thread-safe)
 ///   server.Join();               // wait until drained and stopped
 ///
-/// Graceful drain: stop accepting, stop reading, finish every admitted
-/// line, flush write buffers (up to `drain_timeout_ms`), close. The
-/// CLI translates SIGTERM into exactly this sequence.
+/// Graceful drain: stop accepting, stop reading, flush write buffers
+/// (up to `drain_timeout_ms`), close. Every admitted line has already
+/// been answered by then — execution never outlives the read that
+/// admitted it. The CLI translates SIGTERM into exactly this sequence.
 class ServeServer {
  public:
   /// `engine` (and the store behind it) must outlive the server.
@@ -166,7 +168,7 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Binds and starts the reactor and worker threads. InvalidArgument /
+  /// Binds and starts the reactor thread. InvalidArgument /
   /// IOError on a bad address or bind failure (nothing started).
   Status Start();
 
@@ -177,7 +179,7 @@ class ServeServer {
   /// non-blocking — pair with `Join()` to wait for completion.
   void Shutdown();
 
-  /// Waits for the reactor and workers to stop (after `Shutdown`, or
+  /// Waits for the reactor to stop (after `Shutdown`, or
   /// returns immediately if never started).
   void Join();
 
@@ -191,32 +193,17 @@ class ServeServer {
   const MetricsRegistry* metrics() const { return registry_; }
 
  private:
-  struct WorkItem {
-    uint64_t conn_id = 0;
-    std::vector<PendingLine> lines;
-    int64_t dequeue_ns = 0;  ///< stamped by the worker (queue wait)
-  };
   /// Per-stage timings of one trace-sampled request (steady ns).
   struct TraceRecord {
     uint64_t request_id = 0;
     int64_t admit_ns = 0;    ///< admission timestamp
     int64_t parse_ns = 0;    ///< time parsing this line
-    int64_t queue_ns = 0;    ///< admission -> worker dequeue
+    int64_t queue_ns = 0;    ///< admission -> start of its batch
     int64_t execute_ns = 0;  ///< engine batch execution (shared by batch)
-    int64_t done_ns = 0;     ///< timestamp when the worker finished encoding
-  };
-  struct Completion {
-    uint64_t conn_id = 0;
-    size_t num_lines = 0;       ///< admission-queue slots to release
-    std::string response_bytes; ///< newline-terminated response lines
-    /// Admission timestamps of the batch's lines (request latency).
-    std::vector<int64_t> admit_ns;
-    /// Trace records for the batch's sampled lines (usually empty).
-    std::vector<TraceRecord> traces;
+    int64_t done_ns = 0;     ///< timestamp when encoding finished
   };
 
   void ReactorLoop();
-  void WorkerLoop();
 
   /// Registers the server's own metric families (`server.*`) with
   /// `registry_` and attaches the engine's. Called once from `Start()`
@@ -235,17 +222,24 @@ class ServeServer {
 
   /// Executes one batch: parse each line (hello/parse errors answered
   /// inline), one `ExecuteBatch` for the valid requests, encode in
-  /// original line order. Runs on worker threads; touches only the
-  /// engine and the schema (both immutable here).
-  Completion ExecuteWork(WorkItem work);
+  /// original line order onto `conn`'s write buffer. Appends a record
+  /// per trace-sampled line to `traces`.
+  void ExecuteLines(ServeConn* conn, std::span<const PendingLine> lines,
+                    std::vector<TraceRecord>* traces);
 
   // Reactor-thread helpers (all connection state is reactor-owned).
   void AcceptNewConnections();
   void HandleReadable(ServeConn* conn);
   void HandleWritable(ServeConn* conn);
-  void SubmitBatchIfReady(ServeConn* conn);
-  void ProcessCompletions();
+  /// Executes the lines admitted from one read burst of `conn` in
+  /// batches of at most `max_batch`, flushes the responses, then emits
+  /// their traces.
+  void ExecuteAdmitted(ServeConn* conn, std::span<const PendingLine> lines);
   void FlushWrites(ServeConn* conn);
+  /// Flushes, then closes `conn` if it is finished (peer EOF, close
+  /// policy or drain, with nothing left to send) or refreshes its
+  /// epoll interest otherwise.
+  void FinishIo(ServeConn* conn);
   void UpdateEpollInterest(ServeConn* conn);
   void CloseConn(uint64_t conn_id);
   void ReapIdleConns(int64_t now_ms);
@@ -258,11 +252,10 @@ class ServeServer {
 
   OwnedFd listen_fd_;
   OwnedFd epoll_fd_;
-  OwnedFd wake_fd_;  ///< eventfd: completions ready / shutdown requested
+  OwnedFd wake_fd_;  ///< eventfd: shutdown requested
   uint16_t port_ = 0;
 
   std::thread reactor_;
-  std::vector<std::thread> workers_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> running_{false};
@@ -271,24 +264,10 @@ class ServeServer {
   // Reactor-owned (no locking: reactor thread only).
   std::unordered_map<uint64_t, std::unique_ptr<ServeConn>> conns_;
   uint64_t next_conn_id_ = 0;
-  size_t global_pending_ = 0;  ///< admitted lines not yet completed
   uint64_t next_request_id_ = 0;
   uint64_t trace_seq_ = 0;  ///< admitted-line counter for sampling
   bool draining_ = false;
   int64_t drain_deadline_ms_ = 0;
-
-  // Work-queue capability: the reactor-to-worker handoff. Guards the
-  // batch queue and the stop flag the reactor raises at drain end.
-  Mutex work_mu_;
-  CondVar work_ready_;
-  std::deque<WorkItem> work_queue_ GUARDED_BY(work_mu_);
-  bool workers_stop_ GUARDED_BY(work_mu_) = false;
-
-  // Completion-queue capability: the worker-to-reactor handoff (the
-  // reactor drains it after a wake_fd_ tick). Never held together with
-  // work_mu_, so the two handoff locks cannot deadlock.
-  Mutex completion_mu_;
-  std::vector<Completion> completions_ GUARDED_BY(completion_mu_);
 
   // Observability. Counters/gauges are internally thread-safe; the
   // registry is set up in Start() before any server thread runs.
@@ -305,8 +284,6 @@ class ServeServer {
   Counter batches_executed_;
   Counter traces_emitted_;
   Gauge connections_;            ///< currently open connections
-  Gauge admission_queue_depth_;  ///< == global_pending_
-  Gauge work_queue_depth_;       ///< batches awaiting a worker
   Gauge read_buffer_bytes_;      ///< partial request bytes, all conns
   Gauge write_buffer_bytes_;     ///< unsent response bytes, all conns
   LatencyHistogram request_ns_;  ///< admission -> response flushed

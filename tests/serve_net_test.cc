@@ -320,9 +320,7 @@ TEST(ServeNetTest, PipelinedClientGetsBitIdenticalResponses) {
 }
 
 TEST(ServeNetTest, ConcurrentClientsEachBitIdentical) {
-  ServerOptions options;
-  options.worker_threads = 2;
-  TestServer ts(options);
+  TestServer ts;
   const Schema& schema = ts.data->schema();
 
   constexpr size_t kClients = 4;
@@ -334,31 +332,44 @@ TEST(ServeNetTest, ConcurrentClientsEachBitIdentical) {
         ExpectedResponses(*ts.engine, schema, all_lines.back()));
   }
 
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      BlockingLineClient client = ts.Connect();
-      for (size_t i = 0; i < kLines; ++i) {
-        // Request/response lockstep: interleaves batches across
-        // clients as hard as a 1-core box allows.
-        if (!client.SendLine(all_lines[c][i]).ok()) {
-          failures[c] = "send failed at line " + std::to_string(i);
-          return;
+  // Lockstep interleaves one-line batches across clients as hard as a
+  // 1-core box allows; pipelined makes the reactor execute multi-line
+  // batches while the other clients' bytes wait in the kernel.
+  for (bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "lockstep");
+    std::vector<std::string> failures(kClients);
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        BlockingLineClient client = ts.Connect();
+        if (pipelined) {
+          std::string blob;
+          for (const std::string& line : all_lines[c]) blob += line + "\n";
+          if (!client.SendAll(blob).ok()) {
+            failures[c] = "pipelined send failed";
+            return;
+          }
         }
-        auto got = client.RecvLine();
-        if (!got.ok() || *got != all_expected[c][i]) {
-          failures[c] = "line " + std::to_string(i) + ": got '" +
-                        (got.ok() ? *got : got.status().ToString()) +
-                        "' want '" + all_expected[c][i] + "'";
-          return;
+        for (size_t i = 0; i < kLines; ++i) {
+          if (!pipelined && !client.SendLine(all_lines[c][i]).ok()) {
+            failures[c] = "send failed at line " + std::to_string(i);
+            return;
+          }
+          auto got = client.RecvLine();
+          if (!got.ok() || *got != all_expected[c][i]) {
+            failures[c] = "line " + std::to_string(i) + ": got '" +
+                          (got.ok() ? *got : got.status().ToString()) +
+                          "' want '" + all_expected[c][i] + "'";
+            return;
+          }
         }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (size_t c = 0; c < kClients; ++c) {
-    EXPECT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t c = 0; c < kClients; ++c) {
+      EXPECT_TRUE(failures[c].empty()) << "client " << c << ": "
+                                       << failures[c];
+    }
   }
 }
 
@@ -722,7 +733,7 @@ TEST(ServeNetTest, StatsVerbReturnsJsonCoveringAllFamilies) {
   // engine passes.
   for (const char* family :
        {"\"server.connections\":", "\"server.connections_accepted\":",
-        "\"server.admission_queue_depth\":", "\"server.lines_admitted\":",
+        "\"server.lines_admitted\":",
         "\"server.request_ns\":", "\"cache.hits\":", "\"cache.misses\":",
         "\"snapshot.epoch\":", "\"engine.pass.validate_ns\":",
         "\"engine.pass.execute_ns\":", "\"engine.batch_size\":"}) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -211,6 +212,37 @@ TEST(QueryEngineTest, CacheHitsSecondRoundAndNeverChangesAnswers) {
   for (const QueryResponse& response : second) {
     EXPECT_TRUE(response.cache_hit);
   }
+}
+
+TEST(QueryEngineTest, OneRequestBatchesNeverWakeThePool) {
+  // The server hands the engine one-request batches at light load; a
+  // pool wake costs more than answering one of them. Neither a cached
+  // is-key nor a min-key may run a single pool task (the warm-up miss
+  // is a one-set filter query, which stays on the caller too).
+  Dataset data = MakeKeyedData(800, 9);
+  SnapshotStore store;
+  PublishPipeline(data, FilterBackend::kTupleSample, 0.01, 5, &store);
+  QueryEngineOptions options;
+  options.num_threads = 4;
+  QueryEngine engine(&store, options);
+  MetricsRegistry registry;
+  engine.RegisterMetrics(&registry);
+
+  std::vector<QueryRequest> is_key(1), min_key(1);
+  is_key[0].kind = QueryKind::kIsKey;
+  is_key[0].attrs = AttributeSet(data.num_attributes());
+  is_key[0].attrs.Add(0);
+  min_key[0].kind = QueryKind::kMinKey;
+  min_key[0].attrs = AttributeSet(data.num_attributes());
+  engine.ExecuteBatch(is_key);  // warm the cache
+  for (int round = 0; round < 8; ++round) {
+    EXPECT_TRUE(engine.ExecuteBatch(is_key)[0].cache_hit);
+    EXPECT_TRUE(engine.ExecuteBatch(min_key)[0].status.ok());
+  }
+  // A pool task records its latency when it finishes, which may be
+  // after the batch that queued it has returned.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(registry.SnapshotAll().histograms.at("pool.task_ns").count, 0u);
 }
 
 TEST(QueryEngineTest, BackendsAgreeOnDeterministicVerdicts) {
